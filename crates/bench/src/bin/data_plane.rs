@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cbft_bench::{pig_like_cost, ExperimentRecord};
-use cbft_dataflow::{Batch, Record, Value};
+use cbft_dataflow::{Record, Value};
 use cbft_digest::{hardware_accelerated, ChunkedDigest, ChunkedSummary};
 use cbft_mapreduce::{data_plane, Storage};
 use cbft_workloads::twitter;
@@ -97,51 +97,6 @@ fn zero_copy_pass(file: &Arc<[Record]>) -> (Vec<ChunkedSummary>, u64) {
     (summaries, payload_bytes)
 }
 
-/// The columnar batch path: splits become column batches at the storage
-/// boundary, rows are framed into one reused run buffer per digest chunk,
-/// and the hasher absorbs each chunk-aligned run in a *single* update
-/// (`append_run`) instead of one call per record.
-fn batched_pass(file: &Arc<[Record]>) -> (Vec<ChunkedSummary>, u64) {
-    let shared = Arc::clone(file);
-    let batches: Vec<Batch> = shared
-        .chunks(SPLIT)
-        .map(|split| Batch::from_records(split).expect("dataset rows are uniform-arity"))
-        .collect();
-    digest_batches(&batches)
-}
-
-/// The digest half of the batch path alone, over pre-built batches — the
-/// shape a mid-pipeline verification point sees, where the one-time
-/// storage-boundary conversion is amortized over every kernel and digest
-/// that follows it.
-fn digest_batches(batches: &[Batch]) -> (Vec<ChunkedSummary>, u64) {
-    let mut summaries = Vec::new();
-    let mut payload_bytes = 0u64;
-    let mut run = Vec::new();
-    for batch in batches {
-        let mut cd = ChunkedDigest::new(GRANULARITY);
-        let mut row = 0;
-        while row < batch.len() {
-            let take = GRANULARITY.min(batch.len() - row);
-            run.clear();
-            let mut payload = 0u64;
-            for r in row..row + take {
-                let start = run.len();
-                run.extend_from_slice(&[0u8; 8]);
-                batch.write_row_canonical(r, &mut run);
-                let len = (run.len() - start - 8) as u64;
-                run[start..start + 8].copy_from_slice(&len.to_be_bytes());
-                payload += len;
-            }
-            cd.append_run(&run, take, payload);
-            payload_bytes += payload;
-            row += take;
-        }
-        summaries.push(cd.finish());
-    }
-    (summaries, payload_bytes)
-}
-
 /// Best-of-three wall time of `pass`, returning its last output too.
 fn measure<T>(mut pass: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
@@ -161,32 +116,15 @@ fn main() {
     // Warmup all passes (allocator + page cache), then measure.
     let warm_base = baseline_pass(&file);
     let warm_zero = zero_copy_pass(&file);
-    let warm_batch = batched_pass(&file);
     assert_eq!(
         warm_base, warm_zero,
         "both row passes must produce byte-identical digest streams"
     );
-    assert_eq!(
-        warm_zero, warm_batch,
-        "the columnar batch pass must produce byte-identical digest streams"
-    );
 
     let ((_, payload_bytes), wall_base) = measure(|| baseline_pass(&file));
     let (_, wall_zero) = measure(|| zero_copy_pass(&file));
-    let (_, wall_batch) = measure(|| batched_pass(&file));
-    let prebuilt: Vec<Batch> = file
-        .chunks(SPLIT)
-        .map(|split| Batch::from_records(split).expect("uniform arity"))
-        .collect();
-    let warm_digest = digest_batches(&prebuilt);
-    assert_eq!(
-        warm_zero, warm_digest,
-        "pre-built batches digest identically"
-    );
-    let (_, wall_digest) = measure(|| digest_batches(&prebuilt));
     let mrec = RECORDS as f64 / 1e6;
     let speedup = wall_base / wall_zero;
-    let batch_speedup = wall_base / wall_batch;
 
     // Zero-copy invariant on the real storage layer: seeding REPLICAS
     // worth of reads from one write-once file clones no records.
@@ -240,28 +178,13 @@ fn main() {
              produce byte-identical digest summaries. Counter rows measure the real \
              storage layer seeding {REPLICAS} replica reads, then a full 2-replica \
              ParallelExecutor run (records are owned only at partition boundaries and \
-             output publication, never on the read path). The batched rows convert \
-             each split to a columnar Batch and digest chunk-aligned row runs with a \
-             single hasher update per {GRANULARITY}-record chunk (append_run), the \
-             engine's batch_records data plane."
+             output publication, never on the read path)."
         ),
     );
     record.set_flag("digests_byte_identical", true);
     record.set_flag("hardware_accelerated_sha256", hardware_accelerated());
     record.push("baseline wall (clone path)", "s", None, wall_base);
     record.push("zero-copy wall", "s", None, wall_zero);
-    record.push(
-        "batched wall (columnar, incl. conversion)",
-        "s",
-        None,
-        wall_batch,
-    );
-    record.push(
-        "batched digest wall (pre-built batches)",
-        "s",
-        None,
-        wall_digest,
-    );
     record.push(
         "baseline record-digest throughput",
         "Mrec/s",
@@ -274,31 +197,7 @@ fn main() {
         None,
         mrec / wall_zero,
     );
-    record.push(
-        "batched record-digest throughput",
-        "Mrec/s",
-        None,
-        mrec / wall_batch,
-    );
-    record.push(
-        "batched digest throughput (pre-built)",
-        "Mrec/s",
-        None,
-        mrec / wall_digest,
-    );
     record.push("digest throughput speedup", "x", Some(2.0), speedup);
-    record.push(
-        "batched speedup over baseline",
-        "x",
-        Some(2.0),
-        batch_speedup,
-    );
-    record.push(
-        "batched speedup over zero-copy",
-        "x",
-        None,
-        wall_zero / wall_batch,
-    );
     record.push(
         "digested payload per pass",
         "MB",

@@ -99,11 +99,6 @@ pub struct JobConfig {
     /// `1` runs payloads inline; `0` sizes the pool to the host's cores.
     /// Verdicts and canonical traces are bit-identical for any value.
     pub compute_threads: usize,
-    /// Rows per columnar batch on the task data plane; `0` keeps the
-    /// historical row-at-a-time execution. Purely a host-side execution
-    /// strategy: digests, partitions, outputs and work counters are
-    /// byte-identical either way, so replicas need not agree on it.
-    pub batch_records: usize,
     /// Verifier timeout per attempt; doubles on each re-execution
     /// (§6.2 case 2: "scheduled again with higher timeout value").
     pub verifier_timeout: SimDuration,
@@ -161,7 +156,6 @@ impl JobConfig {
             reduce_tasks: 4,
             map_split_records: 10_000,
             compute_threads: cbft_mapreduce::default_compute_threads(),
-            batch_records: 1024,
             verifier_timeout: SimDuration::from_secs(600),
             max_attempts: 5,
             suspicion_threshold: 0.9,
@@ -245,12 +239,6 @@ impl JobConfigBuilder {
     /// Sets the compute-pool thread count (`0` = host cores, `1` = inline).
     pub fn compute_threads(mut self, n: usize) -> Self {
         self.config.compute_threads = n;
-        self
-    }
-
-    /// Sets rows per columnar batch (`0` = row-at-a-time execution).
-    pub fn batch_records(mut self, n: usize) -> Self {
-        self.config.batch_records = n;
         self
     }
 

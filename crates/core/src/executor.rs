@@ -145,9 +145,6 @@ pub struct ExecutorConfig {
     pub reduce_tasks: usize,
     /// Records per map split.
     pub map_split_records: usize,
-    /// Rows per columnar batch on the task data plane (`0` = row path).
-    /// Host-side only: digests and transcripts are identical either way.
-    pub batch_records: usize,
     /// Nodes in each replica's isolated cluster.
     pub nodes: usize,
     /// Task slots per node.
@@ -180,7 +177,6 @@ impl Default for ExecutorConfig {
             digest_granularity: usize::MAX,
             reduce_tasks: 4,
             map_split_records: 10_000,
-            batch_records: 1024,
             nodes: 16,
             slots_per_node: 3,
             master_seed: 1,
@@ -1234,7 +1230,6 @@ impl ParallelExecutor {
                 map_split_records: self.config.map_split_records,
                 verification_points: vp_map.get(&job_id).cloned().unwrap_or_default(),
                 digest_granularity: self.config.digest_granularity,
-                batch_records: self.config.batch_records,
                 sid: format!("j{}", job_id.index()),
                 replica: uid,
                 // Combiners stay off here so shuffle-site digests are

@@ -820,7 +820,6 @@ impl ClusterBft {
                 map_split_records: self.config.map_split_records,
                 verification_points: vps,
                 digest_granularity: self.config.digest_granularity,
-                batch_records: self.config.batch_records,
                 sid: format!("{sid_prefix}{}", job_id.index()),
                 replica: uid_base + rep,
                 combiner,

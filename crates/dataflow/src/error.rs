@@ -69,6 +69,9 @@ pub enum PlanError {
     },
     /// The plan has no STORE vertex, so it computes nothing observable.
     NoStore,
+    /// Two STORE vertices write the same output path; the second would
+    /// overwrite (or, on write-once storage, collide with) the first.
+    DuplicateStore(String),
     /// A cycle was detected (should be unreachable via the builder API).
     Cyclic,
 }
@@ -97,6 +100,9 @@ impl fmt::Display for PlanError {
                 write!(f, "union inputs have differing arities ({left} vs {right})")
             }
             PlanError::NoStore => write!(f, "plan has no STORE vertex"),
+            PlanError::DuplicateStore(output) => {
+                write!(f, "output '{output}' is already the target of a STORE")
+            }
             PlanError::Cyclic => write!(f, "plan contains a cycle"),
         }
     }

@@ -26,10 +26,7 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// Applies the comparison to an already-computed ordering; the batch
-    /// kernels use this to compare typed columns without materializing
-    /// [`Value`]s.
-    pub fn apply_ord(self, ord: std::cmp::Ordering) -> bool {
+    fn apply(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
         match self {
             CmpOp::Eq => ord == Equal,
@@ -39,10 +36,6 @@ impl CmpOp {
             CmpOp::Gt => ord == Greater,
             CmpOp::Ge => ord != Less,
         }
-    }
-
-    fn apply(self, ord: std::cmp::Ordering) -> bool {
-        self.apply_ord(ord)
     }
 }
 
@@ -63,9 +56,8 @@ pub enum ArithOp {
 
 impl ArithOp {
     /// Applies the operator to two integers; `None` for division or
-    /// remainder by zero (which evaluate to null). Single source of truth
-    /// for both row-wise [`Expr::eval`] and the vectorized kernels.
-    pub fn apply_ints(self, a: i64, b: i64) -> Option<i64> {
+    /// remainder by zero (which evaluate to null).
+    fn apply_ints(self, a: i64, b: i64) -> Option<i64> {
         match self {
             ArithOp::Add => Some(a.wrapping_add(b)),
             ArithOp::Sub => Some(a.wrapping_sub(b)),

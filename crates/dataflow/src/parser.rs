@@ -310,6 +310,7 @@ impl Parser {
     }
 
     fn parse_statement(&mut self) -> Result<(), ParseError> {
+        let start = self.pos;
         if self.eat_kw(Kw::Store) {
             let src = self.expect_alias()?;
             self.expect_kw(Kw::Into)?;
@@ -317,7 +318,7 @@ impl Parser {
             self.expect_sym(";")?;
             self.builder
                 .add_store(src, &output)
-                .map_err(|e| self.err(e.to_string()))?;
+                .map_err(|e| self.err_at(start, e.to_string()))?;
             return Ok(());
         }
         let alias = self.expect_ident()?;
@@ -817,9 +818,14 @@ impl Parser {
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
+        self.err_at(self.pos, message)
+    }
+
+    /// An error located at the line of token `pos` (clamped to the last).
+    fn err_at(&self, pos: usize, message: impl Into<String>) -> ParseError {
         let line = self
             .tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
+            .get(pos.min(self.tokens.len().saturating_sub(1)))
             .map(|s| s.line);
         ParseError::new(message, line)
     }
@@ -980,6 +986,19 @@ mod tests {
     fn error_on_missing_store() {
         let err = Script::parse("a = LOAD 'f' AS (x);").unwrap_err();
         assert!(err.to_string().contains("STORE"), "{err}");
+    }
+
+    #[test]
+    fn error_on_duplicate_store_target_names_line_and_path() {
+        let err = Script::parse(
+            "a = LOAD 'f' AS (x);\nSTORE a INTO 'o';\nb = FILTER a BY x > 1;\nSTORE b INTO 'o';\nSTORE b INTO 'p';",
+        )
+        .unwrap_err();
+        assert_eq!(err.line(), Some(4));
+        assert_eq!(
+            err.to_string(),
+            "parse error on line 4: output 'o' is already the target of a STORE"
+        );
     }
 
     #[test]

@@ -388,9 +388,16 @@ impl PlanBuilder {
         self.push(Operator::Limit { count }, vec![parent], schema)
     }
 
-    /// Adds a `STORE` sink vertex.
+    /// Adds a `STORE` sink vertex. Each output path may be stored once.
     pub fn add_store(&mut self, parent: VertexId, output: &str) -> Result<VertexId, PlanError> {
         let schema = self.schema_of(parent)?.clone();
+        if self
+            .vertices
+            .iter()
+            .any(|v| matches!(&v.op, Operator::Store { output: o } if o == output))
+        {
+            return Err(PlanError::DuplicateStore(output.to_owned()));
+        }
         self.push(
             Operator::Store {
                 output: output.to_owned(),
@@ -587,6 +594,19 @@ mod tests {
         let mut b = PlanBuilder::new();
         b.add_load("f", &["a"]).unwrap();
         assert_eq!(b.build().unwrap_err(), PlanError::NoStore);
+    }
+
+    #[test]
+    fn duplicate_store_target_is_rejected() {
+        let mut b = PlanBuilder::new();
+        let a = b.add_load("f", &["x"]).unwrap();
+        b.add_store(a, "o").unwrap();
+        assert_eq!(
+            b.add_store(a, "o").unwrap_err(),
+            PlanError::DuplicateStore("o".to_owned())
+        );
+        b.add_store(a, "p").unwrap();
+        assert_eq!(b.build().unwrap().stores().len(), 2);
     }
 
     #[test]

@@ -117,40 +117,6 @@ impl ChunkedDigest {
         }
     }
 
-    /// Appends `records` already-framed records laid out contiguously in
-    /// `framed` — each as an 8-byte big-endian length prefix followed by
-    /// its payload, `payload_bytes` payload bytes in total — in a single
-    /// hasher update. This is the batch path's chunk-contiguous fast path:
-    /// digests are byte-identical to calling
-    /// [`ChunkedDigest::append_framed`] once per record (SHA-256 streams),
-    /// but whole chunks of records reach the compressor as one slice.
-    ///
-    /// The run must not straddle a chunk boundary; callers slice their
-    /// batches at `granularity` records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run would overflow the current chunk or `framed`'s
-    /// length is inconsistent with `records` and `payload_bytes`.
-    pub fn append_run(&mut self, framed: &[u8], records: usize, payload_bytes: u64) {
-        assert!(
-            records <= self.granularity - self.records_in_chunk,
-            "framed run must not straddle a chunk boundary"
-        );
-        assert_eq!(
-            framed.len() as u64,
-            payload_bytes + 8 * records as u64,
-            "framed run length inconsistent with record count and payload"
-        );
-        self.hasher.update(framed);
-        self.records_in_chunk += records;
-        self.total_records += records as u64;
-        self.total_bytes += payload_bytes;
-        if self.records_in_chunk == self.granularity {
-            self.seal_chunk();
-        }
-    }
-
     /// Writes the framing prefix for [`ChunkedDigest::append_framed`] into
     /// `buf`: clears it and appends a placeholder length prefix. After the
     /// caller encodes the payload into `buf`, [`ChunkedDigest::seal_frame`]
@@ -534,48 +500,6 @@ mod tests {
     fn append_framed_rejects_bad_prefix() {
         let mut cd = ChunkedDigest::new(1);
         cd.append_framed(&[0u8; 9]); // prefix says 0 bytes, payload has 1
-    }
-
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        ChunkedDigest::begin_frame(&mut buf);
-        buf.extend_from_slice(payload);
-        ChunkedDigest::seal_frame(&mut buf);
-        buf
-    }
-
-    #[test]
-    fn append_run_equals_per_record_appends() {
-        let records: Vec<&[u8]> = vec![b"", b"a", b"bb", b"a longer record payload", b"x"];
-        for g in [1usize, 2, 5, 100] {
-            let plain = summarize(g, &records);
-
-            let mut cd = ChunkedDigest::new(g);
-            // Feed runs aligned to chunk boundaries, as the batch path does.
-            for chunk in records.chunks(g.min(records.len())) {
-                let mut run = Vec::new();
-                let mut payload = 0u64;
-                for r in chunk {
-                    run.extend_from_slice(&frame(r));
-                    payload += r.len() as u64;
-                }
-                cd.append_run(&run, chunk.len(), payload);
-            }
-            let batched = cd.finish();
-            assert_eq!(plain, batched, "granularity {g}");
-            assert_eq!(plain.merkle_root(), batched.merkle_root());
-            assert_eq!(plain.combined(), batched.combined());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "straddle a chunk boundary")]
-    fn append_run_rejects_chunk_straddle() {
-        let mut cd = ChunkedDigest::new(2);
-        cd.append(b"one"); // chunk half full
-        let mut run = frame(b"a");
-        run.extend_from_slice(&frame(b"b"));
-        cd.append_run(&run, 2, 2); // would cross the boundary
     }
 
     #[test]

@@ -945,8 +945,8 @@ impl Cluster {
         let ticket =
             match choice.kind {
                 TaskKind::Map => {
-                    // Maps get a worker handle too: the batched data plane
-                    // fans Merkle-level hashing out over the pool.
+                    // Maps get a worker handle too: map-side digests fan
+                    // Merkle-level hashing out over the pool.
                     let split = job.map_task_inputs[choice.task_index].clone();
                     self.pool.dispatch(move || {
                         ComputedTask::Map(run_map_task(
@@ -1433,7 +1433,6 @@ mod tests {
             map_split_records: 3,
             verification_points: vps,
             digest_granularity: usize::MAX,
-            batch_records: 1024,
             sid: sid.to_owned(),
             replica,
             combiner: None,
@@ -1864,7 +1863,6 @@ mod speculative_tests {
             map_split_records: 4,
             verification_points: vec![],
             digest_granularity: usize::MAX,
-            batch_records: 1024,
             sid: "spec".to_owned(),
             replica: 0,
             combiner: None,
@@ -1977,7 +1975,6 @@ mod locality_tests {
             map_split_records: 4,
             verification_points: vec![],
             digest_granularity: usize::MAX,
-            batch_records: 1024,
             sid: "loc".to_owned(),
             replica: 0,
             combiner: None,

@@ -127,10 +127,6 @@ pub mod data_plane {
         pub const ARCS_SHARED: &str = "cbft_data_plane_arcs_shared_total";
         /// Counter (sim): bytes through canonical record encoding.
         pub const BYTES_ENCODED: &str = "cbft_data_plane_bytes_encoded_total";
-        /// Counter (sim): columnar batches built at task boundaries.
-        pub const BATCHES_BUILT: &str = "cbft_data_plane_batches_built_total";
-        /// Counter (sim): rows converted into columnar batches.
-        pub const BATCH_ROWS: &str = "cbft_data_plane_batch_rows_total";
         /// Counter (sim): bytes absorbed by digest hashers.
         pub const DIGEST_BYTES: &str = "cbft_data_plane_digest_bytes_hashed_total";
         /// Counter (wall): payloads handed to the compute pool. Wall,
@@ -157,17 +153,6 @@ pub mod data_plane {
     /// Bytes written through canonical record encoding.
     pub fn count_bytes_encoded(n: u64) {
         global().add(Domain::Sim, names::BYTES_ENCODED, &[], n);
-    }
-
-    /// Columnar batches built at task boundaries (split/shuffle
-    /// conversion on the batched data plane).
-    pub fn count_batches_built(n: u64) {
-        global().add(Domain::Sim, names::BATCHES_BUILT, &[], n);
-    }
-
-    /// Rows converted into columnar batches.
-    pub fn count_batch_rows(n: u64) {
-        global().add(Domain::Sim, names::BATCH_ROWS, &[], n);
     }
 
     /// Bytes absorbed by digest hashers at verification points.
@@ -200,10 +185,6 @@ pub mod data_plane {
         pub arcs_shared: u64,
         /// Bytes written through canonical record encoding.
         pub bytes_encoded: u64,
-        /// Columnar batches built at task boundaries.
-        pub batches_built: u64,
-        /// Rows converted into columnar batches.
-        pub batch_rows: u64,
         /// Bytes absorbed by digest hashers.
         pub digest_bytes_hashed: u64,
         /// Payloads handed to the compute pool.
@@ -224,8 +205,6 @@ pub mod data_plane {
                 records_cloned: self.records_cloned - earlier.records_cloned,
                 arcs_shared: self.arcs_shared - earlier.arcs_shared,
                 bytes_encoded: self.bytes_encoded - earlier.bytes_encoded,
-                batches_built: self.batches_built - earlier.batches_built,
-                batch_rows: self.batch_rows - earlier.batch_rows,
                 digest_bytes_hashed: self.digest_bytes_hashed - earlier.digest_bytes_hashed,
                 tasks_dispatched: self.tasks_dispatched - earlier.tasks_dispatched,
                 tasks_stolen: self.tasks_stolen - earlier.tasks_stolen,
@@ -242,8 +221,6 @@ pub mod data_plane {
             records_cloned: read(names::RECORDS_CLONED),
             arcs_shared: read(names::ARCS_SHARED),
             bytes_encoded: read(names::BYTES_ENCODED),
-            batches_built: read(names::BATCHES_BUILT),
-            batch_rows: read(names::BATCH_ROWS),
             digest_bytes_hashed: read(names::DIGEST_BYTES),
             tasks_dispatched: read(names::TASKS_DISPATCHED),
             tasks_stolen: read(names::TASKS_STOLEN),

@@ -7,12 +7,11 @@
 
 use std::sync::Arc;
 
-use cbft_dataflow::batch::{filter_batch, group_batch, join_batch, order_batch, project_batch};
 use cbft_dataflow::compile::Site;
 use cbft_dataflow::interp::{
     group_records_owned, join_records, order_records_owned, project_record,
 };
-use cbft_dataflow::{Batch, LogicalPlan, Operator, Record, Value, VertexId};
+use cbft_dataflow::{LogicalPlan, Operator, Record, Value, VertexId};
 use cbft_digest::{
     parent_count, parent_level, parent_range, ChunkedDigest, ChunkedSummary, Digest,
 };
@@ -146,14 +145,6 @@ pub(crate) fn run_map_task(
     pool: &ComputePool,
 ) -> MapTaskOutput {
     debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
-    // The columnar path covers the hot case: a faithful task without a
-    // combiner. Corruption (a cold fault path) and combining keep the
-    // row path; a ragged split (mixed arity) falls back inside.
-    if job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none() {
-        if let Some(out) = run_map_task_batched(job, input_index, records, pool) {
-            return out;
-        }
-    }
     let plan = &job.plan;
     let input = &job.inputs[input_index];
     let mut work = Work {
@@ -242,23 +233,11 @@ pub(crate) fn run_map_task(
 /// passes its own pool, standalone tests the inline default).
 pub(crate) fn run_reduce_task(
     job: &ExecJob,
-    incoming: Vec<Tagged>,
+    mut incoming: Vec<Tagged>,
     fate: TaskFate,
     pool: &ComputePool,
 ) -> ReduceTaskOutput {
     debug_assert_ne!(fate, TaskFate::Omitted, "omitted tasks never execute");
-    // Same gate as the map side: the columnar path runs the hot
-    // (faithful, uncombined) case and hands the input back untouched
-    // when it cannot (ragged arity, DISTINCT's row sort).
-    let mut incoming =
-        if job.batch_records > 0 && fate == TaskFate::Faithful && job.combiner.is_none() {
-            match run_reduce_task_batched(job, incoming, pool) {
-                Ok(out) => return out,
-                Err(returned) => returned,
-            }
-        } else {
-            incoming
-        };
     let plan = &job.plan;
     let mut work = Work {
         bytes_in: incoming.iter().map(|(_, r)| r.byte_size()).sum(),
@@ -557,372 +536,6 @@ fn finish_chunked(cd: ChunkedDigest, pool: &ComputePool) -> ChunkedSummary {
     })
 }
 
-/// Columnar variant of [`run_map_task`]: the split is converted to
-/// [`Batch`]es of at most `job.batch_records` rows at the storage
-/// boundary and the pipeline runs vectorized kernels over them. Digests,
-/// partition assignments, output records and work counters are
-/// byte-identical to the row path — batching is purely a host-side
-/// execution strategy, pinned by the `batched_*` task tests.
-///
-/// Returns `None` — before any counter is touched — when the split is
-/// ragged (mixed arity) and cannot be laid out columnar.
-fn run_map_task_batched(
-    job: &ExecJob,
-    input_index: usize,
-    records: &[Record],
-    pool: &ComputePool,
-) -> Option<MapTaskOutput> {
-    debug_assert!(job.batch_records > 0 && job.combiner.is_none());
-    let plan = &job.plan;
-    let input = &job.inputs[input_index];
-
-    let mut batches = Vec::with_capacity(records.len().div_ceil(job.batch_records).max(1));
-    for rows in records.chunks(job.batch_records) {
-        batches.push(Batch::from_records(rows)?);
-    }
-    data_plane::count_batches_built(batches.len() as u64);
-    data_plane::count_batch_rows(records.len() as u64);
-
-    let mut work = Work {
-        bytes_in: byte_size(records),
-        ..Work::default()
-    };
-    // Mirrors the row path's borrow tracking: `false` while the rows are
-    // still (columnar images of) the input split, `true` once a
-    // projection produced fresh rows. The output boundary charges its
-    // materialization as clones exactly when the row path would.
-    let mut owned = false;
-
-    let mut digests = Vec::new();
-    for (pos, &vid) in input.pipeline.iter().enumerate() {
-        apply_op_batched(plan, vid, &mut batches, &mut owned, &mut work);
-        for vp in &job.verification_points {
-            if let Site::MapInput {
-                input: vi,
-                pos: vp_pos,
-                ..
-            } = vp.site
-            {
-                if vi == input_index && vp_pos == pos {
-                    digests.push((
-                        *vp,
-                        digest_batches(&batches, job.digest_granularity, &mut work, pool),
-                    ));
-                }
-            }
-        }
-    }
-
-    let total: u64 = batches.iter().map(|b| b.len() as u64).sum();
-    if !owned {
-        data_plane::count_records_cloned(total);
-    }
-    let partitions = if let Some(shuffle) = job.shuffle {
-        partition_batches(
-            plan,
-            shuffle,
-            input.tag,
-            &batches,
-            job.reduce_task_count,
-            &mut work,
-        )
-    } else {
-        let mut out = Vec::with_capacity(total as usize);
-        for b in &batches {
-            for r in b.to_records() {
-                work.bytes_out += r.byte_size();
-                out.push((input.tag, r));
-            }
-        }
-        vec![out]
-    };
-
-    Some(MapTaskOutput {
-        partitions,
-        digests,
-        work,
-    })
-}
-
-/// Applies one per-record operator to a batch stream; the vectorized
-/// mirror of [`apply_op`], charging identical work.
-fn apply_op_batched(
-    plan: &LogicalPlan,
-    vid: VertexId,
-    batches: &mut [Batch],
-    owned: &mut bool,
-    work: &mut Work,
-) {
-    let op = plan.vertex(vid).op();
-    work.record_ops += batches.iter().map(|b| b.len() as u64).sum::<u64>();
-    match op {
-        Operator::Load { .. } | Operator::Union | Operator::Store { .. } => {}
-        Operator::Filter { predicate } => {
-            for b in batches.iter_mut() {
-                *b = filter_batch(b, predicate);
-            }
-        }
-        Operator::Project { exprs, .. } => {
-            for b in batches.iter_mut() {
-                *b = project_batch(b, exprs);
-            }
-            *owned = true;
-        }
-        Operator::Limit { count } => {
-            let mut remaining = *count as usize;
-            for b in batches.iter_mut() {
-                let take = remaining.min(b.len());
-                b.truncate(take);
-                remaining -= take;
-            }
-        }
-        blocking => {
-            debug_assert!(false, "blocking operator {} in a pipeline", blocking.name());
-        }
-    }
-}
-
-/// Vectorized mirror of [`partition_records`]: shuffle keys are encoded
-/// straight out of the columns (same canonical bytes, same [`fnv1a`], so
-/// the partition assignment is pinned to the row path's) and rows
-/// materialize as records only once their partition is known.
-fn partition_batches(
-    plan: &LogicalPlan,
-    shuffle: VertexId,
-    tag: usize,
-    batches: &[Batch],
-    n_partitions: usize,
-    work: &mut Work,
-) -> Vec<Vec<Tagged>> {
-    let n = n_partitions.max(1);
-    let mut parts: Vec<Vec<Tagged>> = vec![Vec::new(); n];
-    let op = plan.vertex(shuffle).op().clone();
-    let mut key_buf = Vec::new();
-    for b in batches {
-        work.record_ops += b.len() as u64;
-        for row in 0..b.len() {
-            let p = match &op {
-                Operator::Group { key } => {
-                    key_buf.clear();
-                    b.write_value_canonical(row, *key, &mut key_buf);
-                    (fnv1a(&key_buf) % n as u64) as usize
-                }
-                Operator::Join {
-                    left_key,
-                    right_key,
-                } => {
-                    let key = if tag == 0 { *left_key } else { *right_key };
-                    key_buf.clear();
-                    b.write_value_canonical(row, key, &mut key_buf);
-                    (fnv1a(&key_buf) % n as u64) as usize
-                }
-                Operator::Distinct => {
-                    key_buf.clear();
-                    b.write_row_canonical(row, &mut key_buf);
-                    (fnv1a(&key_buf) % n as u64) as usize
-                }
-                // Global sort: a single range partition.
-                Operator::Order { .. } => 0,
-                other => {
-                    debug_assert!(false, "non-blocking shuffle {}", other.name());
-                    0
-                }
-            };
-            let r = b.row(row);
-            work.bytes_out += r.byte_size();
-            parts[p].push((tag, r));
-        }
-    }
-    parts
-}
-
-/// Columnar variant of [`run_reduce_task`]. Returns the untouched input
-/// back as `Err` when the partition cannot run columnar: mixed-arity
-/// records (per join side), or a DISTINCT shuffle — whose whole-record
-/// sort/dedup already runs on owned rows with the pool's chunked sort.
-fn run_reduce_task_batched(
-    job: &ExecJob,
-    incoming: Vec<Tagged>,
-    pool: &ComputePool,
-) -> Result<ReduceTaskOutput, Vec<Tagged>> {
-    debug_assert!(job.batch_records > 0 && job.combiner.is_none());
-    let plan = &job.plan;
-    let op = job.shuffle.map(|sh| plan.vertex(sh).op().clone());
-
-    if matches!(op, Some(Operator::Distinct)) {
-        return Err(incoming);
-    }
-    let ragged = match &op {
-        Some(Operator::Join { .. }) => {
-            !uniform_arity(incoming.iter().filter(|(t, _)| *t == 0).map(|(_, r)| r))
-                || !uniform_arity(incoming.iter().filter(|(t, _)| *t != 0).map(|(_, r)| r))
-        }
-        _ => !uniform_arity(incoming.iter().map(|(_, r)| r)),
-    };
-    if ragged {
-        return Err(incoming);
-    }
-
-    let mut work = Work {
-        bytes_in: incoming.iter().map(|(_, r)| r.byte_size()).sum(),
-        ..Work::default()
-    };
-    let mut digests = Vec::new();
-
-    // Materialize the shuffle with vectorized kernels (or pass the
-    // collector input through), yielding the post-shuffle stream as
-    // batches of at most `batch_records` rows.
-    let mut batches = match &op {
-        Some(Operator::Group { key }) => {
-            work.record_ops += 2 * incoming.len() as u64;
-            let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            let batch = Batch::from_records(&records).expect("arity checked above");
-            rebatch(&group_batch(&batch, *key), job.batch_records)
-        }
-        Some(Operator::Join {
-            left_key,
-            right_key,
-        }) => {
-            work.record_ops += 2 * incoming.len() as u64;
-            let (mut left, mut right) = (Vec::new(), Vec::new());
-            for (tag, r) in incoming {
-                if tag == 0 {
-                    left.push(r);
-                } else {
-                    right.push(r);
-                }
-            }
-            let lb = Batch::from_records(&left).expect("arity checked above");
-            let rb = Batch::from_records(&right).expect("arity checked above");
-            rebatch(
-                &join_batch(&lb, *left_key, &rb, *right_key),
-                job.batch_records,
-            )
-        }
-        Some(Operator::Order { key, order }) => {
-            work.record_ops += 2 * incoming.len() as u64;
-            let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            let batch = Batch::from_records(&records).expect("arity checked above");
-            vec![order_batch(&batch, *key, *order)]
-        }
-        Some(other) => {
-            debug_assert!(false, "non-blocking shuffle {}", other.name());
-            return Err(incoming);
-        }
-        None => {
-            let records: Vec<Record> = incoming.into_iter().map(|(_, r)| r).collect();
-            rebatch(&records, job.batch_records)
-        }
-    };
-    data_plane::count_batches_built(batches.len() as u64);
-    data_plane::count_batch_rows(batches.iter().map(|b| b.len() as u64).sum());
-
-    if let Some(sh) = job.shuffle {
-        for vp in &job.verification_points {
-            if matches!(vp.site, Site::Shuffle { .. }) && vp.vertex == sh {
-                digests.push((
-                    *vp,
-                    digest_batches(&batches, job.digest_granularity, &mut work, pool),
-                ));
-            }
-        }
-    }
-
-    // Reduce-side rows are always owned; the flag only exists for the
-    // map path's clone accounting.
-    let mut owned = true;
-    for (pos, &vid) in job.reduce.iter().enumerate() {
-        apply_op_batched(plan, vid, &mut batches, &mut owned, &mut work);
-        for vp in &job.verification_points {
-            if let Site::Reduce { pos: vp_pos, .. } = vp.site {
-                if vp.vertex == vid && vp_pos == pos {
-                    digests.push((
-                        *vp,
-                        digest_batches(&batches, job.digest_granularity, &mut work, pool),
-                    ));
-                }
-            }
-        }
-    }
-
-    let mut records = Vec::new();
-    for b in &batches {
-        records.extend(b.to_records());
-    }
-    work.bytes_out = byte_size(&records);
-    Ok(ReduceTaskOutput {
-        records,
-        digests,
-        work,
-    })
-}
-
-/// True when every record has the same arity (vacuously for an empty
-/// stream) — the only conversion [`Batch::from_records`] can refuse.
-fn uniform_arity<'a>(mut records: impl Iterator<Item = &'a Record>) -> bool {
-    match records.next() {
-        None => true,
-        Some(first) => {
-            let arity = first.arity();
-            records.all(|r| r.arity() == arity)
-        }
-    }
-}
-
-/// Slices an owned record stream into batches of at most `batch_records`
-/// rows. Callers guarantee uniform arity.
-fn rebatch(records: &[Record], batch_records: usize) -> Vec<Batch> {
-    records
-        .chunks(batch_records.max(1))
-        .map(|rows| Batch::from_records(rows).expect("uniform arity"))
-        .collect()
-}
-
-/// Digests a batch stream: the vectorized mirror of [`digest_stream`],
-/// framing whole chunk-aligned runs of rows into one reused buffer per
-/// hasher update (byte-identical digests, same counters charged).
-fn digest_batches(
-    batches: &[Batch],
-    granularity: usize,
-    work: &mut Work,
-    pool: &ComputePool,
-) -> ChunkedSummary {
-    let mut cd = ChunkedDigest::new(granularity);
-    let mut run = Vec::new();
-    let mut in_chunk = 0usize;
-    let mut payload_bytes = 0u64;
-    let mut count = 0u64;
-    for b in batches {
-        let mut row = 0;
-        while row < b.len() {
-            let take = (granularity - in_chunk).min(b.len() - row);
-            run.clear();
-            let mut payload = 0u64;
-            for r in row..row + take {
-                let start = run.len();
-                run.extend_from_slice(&[0u8; 8]);
-                b.write_row_canonical(r, &mut run);
-                let len = (run.len() - start - 8) as u64;
-                run[start..start + 8].copy_from_slice(&len.to_be_bytes());
-                payload += len;
-            }
-            cd.append_run(&run, take, payload);
-            payload_bytes += payload;
-            count += take as u64;
-            in_chunk += take;
-            if in_chunk == granularity {
-                in_chunk = 0;
-            }
-            row += take;
-        }
-    }
-    work.digest_bytes += payload_bytes;
-    work.record_ops += count;
-    data_plane::count_bytes_encoded(payload_bytes);
-    data_plane::count_digest_bytes(payload_bytes + 8 * count);
-    finish_chunked(cd, pool)
-}
-
 fn byte_size(records: &[Record]) -> u64 {
     records.iter().map(Record::byte_size).sum()
 }
@@ -980,7 +593,9 @@ mod tests {
     use super::*;
     use crate::spec::ExecInput;
     use cbft_dataflow::compile::{compile_plan, DataSource, JobOutput};
+    use cbft_dataflow::interp::interpret;
     use cbft_dataflow::{Script, Value};
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     /// Builds an ExecJob straight from a single-job script, for testing
@@ -1014,7 +629,6 @@ mod tests {
             map_split_records: 1000,
             verification_points: vps,
             digest_granularity: usize::MAX,
-            batch_records: 1024,
             sid: "s".to_owned(),
             replica: 0,
             combiner: None,
@@ -1238,30 +852,53 @@ mod tests {
         }
     }
 
-    fn assert_reduce_identical(a: &ReduceTaskOutput, b: &ReduceTaskOutput, ctx: &str) {
-        assert_eq!(a.records, b.records, "{ctx}: records");
-        assert_eq!(a.work, b.work, "{ctx}: work");
-        assert_eq!(a.digests.len(), b.digests.len(), "{ctx}: digest count");
-        for ((va, sa), (vb, sb)) in a.digests.iter().zip(&b.digests) {
-            assert_eq!(va, vb, "{ctx}: vp order");
-            assert_eq!(sa, sb, "{ctx}: summary");
-            assert_eq!(sa.combined(), sb.combined(), "{ctx}: combined");
-            assert_eq!(sa.merkle_root(), sb.merkle_root(), "{ctx}: root");
+    /// Runs a single-job script through the row task runners: every input
+    /// cut into `split`-record map tasks, map partitions gathered per
+    /// reduce task in split order, reduce outputs concatenated.
+    fn run_job(job: &ExecJob, inputs: &HashMap<String, Vec<Record>>, split: usize) -> Vec<Record> {
+        let pool = ComputePool::default();
+        let mut parts: Vec<Vec<Tagged>> = Vec::new();
+        for (i, input) in job.inputs.iter().enumerate() {
+            for chunk in inputs[&input.file].chunks(split) {
+                let out = run_map_task(job, i, chunk, TaskFate::Faithful, &pool);
+                parts.resize_with(parts.len().max(out.partitions.len()), Vec::new);
+                for (p, part) in out.partitions.into_iter().enumerate() {
+                    parts[p].extend(part);
+                }
+            }
+        }
+        parts
+            .into_iter()
+            .flat_map(|part| run_reduce_task(job, part, TaskFate::Faithful, &pool).records)
+            .collect()
+    }
+
+    /// Asserts the row task runners publish exactly what the interpreter
+    /// computes for `src` — in order when `ordered`, else as a multiset
+    /// (partitioning reorders unsorted output) — for several split sizes.
+    fn assert_matches_interp(src: &str, inputs: &[(&str, Vec<Record>)], ordered: bool) {
+        let job = exec_job(src, vec![]);
+        let inputs: HashMap<String, Vec<Record>> = inputs
+            .iter()
+            .map(|(name, recs)| ((*name).to_owned(), recs.clone()))
+            .collect();
+        let oracle = interpret(&job.plan, &inputs).unwrap();
+        let mut want = oracle.output(&job.output_file).unwrap().to_vec();
+        assert!(!want.is_empty(), "the oracle output exercises the job");
+        if !ordered {
+            want.sort();
+        }
+        for split in [1usize, 7, 1000] {
+            let mut got = run_job(&job, &inputs, split);
+            if !ordered {
+                got.sort();
+            }
+            assert_eq!(got, want, "split {split}");
         }
     }
 
     #[test]
-    fn batched_map_task_matches_row_path_byte_for_byte() {
-        let mut job = exec_job(FOLLOWER, vec![]);
-        job.verification_points = vec![VpSite {
-            vertex: job.inputs[0].pipeline[1],
-            site: Site::MapInput {
-                job: cbft_dataflow::compile::JobId(0),
-                input: 0,
-                pos: 1,
-            },
-        }];
-        job.digest_granularity = 3;
+    fn group_task_runners_match_the_interpreter() {
         let records: Vec<Record> = (0..53i64)
             .map(|i| {
                 let f = if i % 7 == 0 {
@@ -1272,162 +909,127 @@ mod tests {
                 Record::new(vec![Value::Int(i % 5), f])
             })
             .collect();
-        job.batch_records = 0;
-        let row = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
-        for bs in [1usize, 7, 1024] {
-            job.batch_records = bs;
-            let batched = run_map_task(
-                &job,
-                0,
-                &records,
-                TaskFate::Faithful,
-                &ComputePool::default(),
-            );
-            assert_map_identical(&batched, &row, &format!("batch_records {bs}"));
-        }
+        assert_matches_interp(FOLLOWER, &[("twitter", records)], false);
     }
 
     #[test]
-    fn batched_reduce_group_matches_row_path_byte_for_byte() {
+    fn group_task_digests_match_the_interpreter_streams() {
+        // Map, shuffle and reduce verification points each digest exactly
+        // the stream the interpreter computes for their vertex.
         let mut job = exec_job(FOLLOWER, vec![]);
+        let filter = job.inputs[0].pipeline[1];
         let shuffle = job.shuffle.unwrap();
-        job.digest_granularity = 2;
+        let project = job.reduce[0];
+        let id = cbft_dataflow::compile::JobId(0);
         job.verification_points = vec![
             VpSite {
-                vertex: shuffle,
-                site: Site::Shuffle {
-                    job: cbft_dataflow::compile::JobId(0),
+                vertex: filter,
+                site: Site::MapInput {
+                    job: id,
+                    input: 0,
+                    pos: 1,
                 },
             },
             VpSite {
-                vertex: job.reduce[0],
-                site: Site::Reduce {
-                    job: cbft_dataflow::compile::JobId(0),
-                    pos: 0,
-                },
+                vertex: shuffle,
+                site: Site::Shuffle { job: id },
+            },
+            VpSite {
+                vertex: project,
+                site: Site::Reduce { job: id, pos: 0 },
             },
         ];
-        let incoming: Vec<Tagged> = (0..40i64)
-            .map(|i| (0, Record::new(vec![Value::Int(i % 6), Value::Int(i)])))
+        job.digest_granularity = 3;
+        job.reduce_task_count = 1;
+        let mut records: Vec<Record> = (0..40i64)
+            .map(|i| Record::new(vec![Value::Int(i % 6), Value::Int(i)]))
             .collect();
-        job.batch_records = 0;
-        let row = run_reduce_task(
-            &job,
-            incoming.clone(),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
-        for bs in [1usize, 5, 1024] {
-            job.batch_records = bs;
-            let batched = run_reduce_task(
-                &job,
-                incoming.clone(),
-                TaskFate::Faithful,
-                &ComputePool::default(),
-            );
-            assert_reduce_identical(&batched, &row, &format!("batch_records {bs}"));
-        }
+        records.push(Record::new(vec![Value::Int(9), Value::Null]));
+        let inputs = HashMap::from([("twitter".to_owned(), records.clone())]);
+        let oracle = interpret(&job.plan, &inputs).unwrap();
+        let want = |v| digest_reduce_outputs(oracle.stream(v), 3);
+
+        let pool = ComputePool::default();
+        let map = run_map_task(&job, 0, &records, TaskFate::Faithful, &pool);
+        assert_eq!(map.digests.len(), 1);
+        assert_eq!(map.digests[0].1, want(filter));
+        let part = map.partitions.into_iter().next().unwrap();
+        let reduce = run_reduce_task(&job, part, TaskFate::Faithful, &pool);
+        assert_eq!(reduce.digests.len(), 2);
+        assert_eq!(reduce.digests[0].1, want(shuffle));
+        assert_eq!(reduce.digests[1].1, want(project));
+        assert_eq!(reduce.records, oracle.output("counts").unwrap());
     }
 
     #[test]
-    fn batched_reduce_join_and_order_match_row_path() {
-        let join_job = |bs: usize| {
-            let mut j = exec_job(
-                "a = LOAD 'e' AS (user, follower);
-                 b = LOAD 'e' AS (user, follower);
-                 j = JOIN a BY follower, b BY user;
-                 STORE j INTO 'o';",
-                vec![],
-            );
-            j.batch_records = bs;
-            j
-        };
-        let incoming: Vec<Tagged> = (0..30i64)
-            .map(|i| {
-                (
-                    (i % 2) as usize,
-                    Record::new(vec![Value::Int(i % 4), Value::Int(i % 3)]),
-                )
-            })
+    fn join_task_runners_match_the_interpreter() {
+        let records: Vec<Record> = (0..30i64)
+            .map(|i| Record::new(vec![Value::Int(i % 4), Value::Int(i % 3)]))
             .collect();
-        let row = run_reduce_task(
-            &join_job(0),
-            incoming.clone(),
-            TaskFate::Faithful,
-            &ComputePool::default(),
+        assert_matches_interp(
+            "a = LOAD 'e' AS (user, follower);
+             b = LOAD 'e' AS (user, follower);
+             j = JOIN a BY follower, b BY user;
+             STORE j INTO 'o';",
+            &[("e", records)],
+            false,
         );
-        let batched = run_reduce_task(
-            &join_job(8),
-            incoming.clone(),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
-        assert_reduce_identical(&batched, &row, "join");
-
-        let order_job = |bs: usize| {
-            let mut j = exec_job(
-                "a = LOAD 'f' AS (x, y);
-                 o = ORDER a BY y DESC;
-                 STORE o INTO 'out';",
-                vec![],
-            );
-            j.batch_records = bs;
-            j
-        };
-        let incoming: Vec<Tagged> = (0..25i64)
-            .map(|i| (0, Record::new(vec![Value::Int(i), Value::Int(i * 13 % 11)])))
-            .collect();
-        let row = run_reduce_task(
-            &order_job(0),
-            incoming.clone(),
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
-        let batched = run_reduce_task(
-            &order_job(4),
-            incoming,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
-        assert_reduce_identical(&batched, &row, "order");
     }
 
     #[test]
-    fn ragged_split_falls_back_to_row_execution() {
-        let mut job = exec_job(
+    fn order_task_runners_match_the_interpreter_in_order() {
+        let records: Vec<Record> = (0..25i64)
+            .map(|i| Record::new(vec![Value::Int(i), Value::Int(i * 13 % 11)]))
+            .collect();
+        assert_matches_interp(
+            "a = LOAD 'f' AS (x, y);
+             o = ORDER a BY y DESC;
+             STORE o INTO 'out';",
+            &[("f", records)],
+            true,
+        );
+    }
+
+    #[test]
+    fn distinct_task_runners_match_the_interpreter() {
+        let records: Vec<Record> = (0..40i64)
+            .map(|i| Record::new(vec![Value::Int(i % 3), Value::str(format!("v{}", i % 4))]))
+            .collect();
+        assert_matches_interp(
+            "a = LOAD 'f' AS (x, y);
+             d = DISTINCT a;
+             STORE d INTO 'out';",
+            &[("f", records)],
+            false,
+        );
+    }
+
+    #[test]
+    fn ragged_split_matches_the_interpreter() {
+        // Mixed arity within one split, through a map-side filter and
+        // through a grouping shuffle.
+        let records = vec![
+            Record::new(vec![Value::Int(1)]),
+            Record::new(vec![Value::Int(2), Value::Int(3)]),
+            Record::new(vec![Value::Null]),
+            Record::new(vec![Value::Int(1), Value::str("x"), Value::Int(4)]),
+            Record::new(vec![Value::Int(2)]),
+        ];
+        assert_matches_interp(
             "a = LOAD 'f' AS (x);
              o = FILTER a BY x IS NOT NULL;
              STORE o INTO 'out';",
-            vec![],
+            &[("f", records.clone())],
+            false,
         );
-        let records = vec![
-            Record::new(vec![Value::Int(1)]),
-            Record::new(vec![Value::Int(2), Value::Int(3)]), // ragged arity
-            Record::new(vec![Value::Null]),
-        ];
-        job.batch_records = 1024;
-        let batched = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
+        assert_matches_interp(
+            "a = LOAD 'f' AS (x);
+             g = GROUP a BY x;
+             c = FOREACH g GENERATE group, COUNT(a) AS n;
+             STORE c INTO 'out';",
+            &[("f", records)],
+            false,
         );
-        job.batch_records = 0;
-        let row = run_map_task(
-            &job,
-            0,
-            &records,
-            TaskFate::Faithful,
-            &ComputePool::default(),
-        );
-        assert_map_identical(&batched, &row, "ragged fallback");
     }
 
     #[test]

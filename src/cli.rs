@@ -66,10 +66,6 @@ pub struct CliOptions {
     /// `Some(0)` sizes the pool to the host's cores. Works in both the
     /// sequential and `--threads` modes without changing any verdict.
     pub compute_threads: Option<usize>,
-    /// Rows per columnar batch on the task data plane. `None` keeps the
-    /// engine default (1024); `Some(0)` forces row-at-a-time execution.
-    /// Host-side only: digests and verdicts are identical for any value.
-    pub batch_size: Option<usize>,
     /// Verification tier for the `--threads` path: full replication,
     /// single-run spot-check sampling, or hybrid (sample, escalate to
     /// replication on suspicion).
@@ -118,7 +114,6 @@ impl Default for CliOptions {
             optimize: false,
             threads: None,
             compute_threads: None,
-            batch_size: None,
             verify_mode: VerifyMode::Replicate,
             sample_rate: None,
             emit_dot: false,
@@ -174,9 +169,6 @@ OPTIONS:
                          (map/reduce evaluation, digesting, shuffle gather);
                          0 = one thread per host core. Verdicts and traces
                          are identical for any value     [default: inline]
-    --batch-size N       rows per columnar batch on the task data plane;
-                         0 = row-at-a-time execution. Digests, outputs and
-                         verdicts are identical for any value [default: 1024]
     --verify-mode M      verification tier on the --threads path:
                            replicate  f+1..3f+1 replicated execution
                            sample     run once; a trusted spot-checker
@@ -310,9 +302,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<CliOptions,
                     "--compute-threads",
                 )?)
             }
-            "--batch-size" => {
-                opts.batch_size = Some(checked_batch_size(&need(&mut it, "--batch-size")?)?)
-            }
             "--verify-mode" => {
                 let v = need(&mut it, "--verify-mode")?;
                 opts.verify_mode = VerifyMode::parse(&v).ok_or_else(|| {
@@ -373,21 +362,6 @@ fn positive(n: usize, flag: &str) -> Result<usize, UsageError> {
         return Err(UsageError(format!("{flag} must be at least 1")));
     }
     Ok(n)
-}
-
-/// Parses and bounds a `--batch-size` value. `0` is the documented
-/// row-at-a-time path and stays valid; values beyond 2^32 rows per batch
-/// could only overflow capacity arithmetic on the data plane, so they
-/// are rejected here with a pointer at the row path instead.
-pub fn checked_batch_size(s: &str) -> Result<usize, UsageError> {
-    const MAX: u64 = 1 << 32;
-    let n: u64 = parse_num(s, "--batch-size")?;
-    if n > MAX {
-        return Err(UsageError(format!(
-            "--batch-size {n} is unreasonably large (max {MAX}); use 0 for row-at-a-time execution"
-        )));
-    }
-    Ok(n as usize)
 }
 
 /// Parses `N:KIND[:P]` fault specs.
@@ -506,9 +480,6 @@ pub fn run(opts: &CliOptions) -> Result<String, Box<dyn Error>> {
         .optimize_plans(opts.optimize);
     if let Some(n) = opts.compute_threads {
         config = config.compute_threads(n);
-    }
-    if let Some(n) = opts.batch_size {
-        config = config.batch_records(n);
     }
     let config = config.build();
     let mut cbft = ClusterBft::new(builder.build(), config);
@@ -710,7 +681,6 @@ fn run_parallel(
     let mut exec = ParallelExecutor::new(ExecutorConfig {
         threads: opts.threads.unwrap_or(1),
         compute_threads: opts.compute_threads.unwrap_or(default_exec.compute_threads),
-        batch_records: opts.batch_size.unwrap_or(default_exec.batch_records),
         expected_failures: f,
         // Start at the requested replication degree, escalate along the
         // paper's schedule from there.
@@ -1015,19 +985,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_flag_parses() {
-        assert_eq!(parse(&["s.pig"]).unwrap().batch_size, None);
-        assert_eq!(
-            parse(&["s.pig", "--batch-size", "256"]).unwrap().batch_size,
-            Some(256)
-        );
-        assert_eq!(
-            parse(&["s.pig", "--batch-size", "0"]).unwrap().batch_size,
-            Some(0),
-            "0 selects the row-at-a-time path"
-        );
-        assert!(parse(&["s.pig", "--batch-size"]).is_err());
-        assert!(parse(&["s.pig", "--batch-size", "wide"]).is_err());
+    fn retired_batch_size_flag_is_unknown() {
+        // A stale invocation fails loudly, naming the flag, instead of
+        // being silently ignored.
+        for args in [
+            &["s.pig", "--batch-size", "256"][..],
+            &["s.pig", "--batch-size", "0"],
+            &["s.pig", "--batch-size"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.0.contains("unknown argument '--batch-size'"), "{err}");
+        }
     }
 
     #[test]
@@ -1434,17 +1402,6 @@ mod tests {
     }
 
     #[test]
-    fn huge_batch_size_is_rejected_but_zero_stays_the_row_path() {
-        assert_eq!(
-            parse(&["s.pig", "--batch-size", "0"]).unwrap().batch_size,
-            Some(0)
-        );
-        let err = parse(&["s.pig", "--batch-size", "18446744073709551615"]).unwrap_err();
-        assert!(err.0.contains("unreasonably large"), "{err}");
-        assert!(err.0.contains("use 0 for row-at-a-time"), "{err}");
-    }
-
-    #[test]
     fn missing_files_are_reported_with_their_paths() {
         let opts = parse(&["definitely_missing_script.pig"]).unwrap();
         let err = run(&opts).unwrap_err().to_string();
@@ -1468,6 +1425,38 @@ mod tests {
             err.contains("cannot read input 'edges' from 'definitely_missing_data.csv'"),
             "{err}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn duplicate_store_targets_fail_alike_on_both_paths() {
+        // Rejected at plan time, so neither path reaches storage and both
+        // report the same located error.
+        let dir = std::env::temp_dir().join(format!("cbft_cli_dupstore_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let script = dir.join("s.pig");
+        std::fs::write(
+            &script,
+            "a = LOAD 'edges' AS (u, f);
+             g = GROUP a BY u;
+             c = FOREACH g GENERATE group, COUNT(a) AS n;
+             STORE c INTO 'counts';
+             STORE a INTO 'counts';",
+        )
+        .unwrap();
+        let data = dir.join("edges.csv");
+        std::fs::write(&data, "1,2\n1,3\n2,4\n").unwrap();
+        let input = format!("edges={}", data.display());
+        let base = [script.to_str().unwrap(), "--input", &input];
+        let sequential = run(&parse(&base).unwrap()).unwrap_err().to_string();
+        let threaded = run(&parse(&[&base[..], &["--threads", "2"]].concat()).unwrap())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            sequential,
+            "parse error on line 5: output 'counts' is already the target of a STORE"
+        );
+        assert_eq!(threaded, sequential);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -69,8 +69,6 @@ pub struct DaemonOptions {
     pub points: u32,
     /// Records per digest chunk.
     pub granularity: usize,
-    /// Rows per columnar batch (`None` = engine default, `0` = row path).
-    pub batch_size: Option<usize>,
     /// Nodes in each replica's isolated cluster.
     pub nodes: usize,
     /// Task slots per simulated node.
@@ -112,7 +110,6 @@ impl Default for DaemonOptions {
             replication: Replication::Optimistic,
             points: 2,
             granularity: usize::MAX,
-            batch_size: None,
             nodes: 8,
             slots_per_node: 3,
             metrics: None,
@@ -156,7 +153,6 @@ OPTIONS:
                                                            [default: optimistic]
     --points N           marker-chosen verification points [default: 2]
     --granularity D      records per digest chunk (≥ 1)    [default: whole stream]
-    --batch-size N       rows per columnar batch; 0 = row path
     --nodes N            nodes per replica cluster (≥ 1)   [default: 8]
     --node-slots N       task slots per node (≥ 1)         [default: 3]
     --metrics FILE       write Prometheus metrics (server series included)
@@ -271,12 +267,6 @@ pub fn parse_daemon_args<I: IntoIterator<Item = String>>(
                     "--granularity",
                 )?
             }
-            "--batch-size" => {
-                opts.batch_size = Some(crate::cli::checked_batch_size(&need(
-                    &mut it,
-                    "--batch-size",
-                )?)?)
-            }
             "--nodes" => {
                 opts.nodes = positive(parse_num(&need(&mut it, "--nodes")?, "--nodes")?, "--nodes")?
             }
@@ -389,9 +379,6 @@ fn job_exec(opts: &DaemonOptions, seed: u64) -> ExecutorConfig {
         escalation: vec![opts.replication.replicas(f), 2 * f + 1, 3 * f + 1],
         vp_policy: VpPolicy::Marked(opts.points),
         digest_granularity: opts.granularity,
-        batch_records: opts
-            .batch_size
-            .unwrap_or(ExecutorConfig::default().batch_records),
         nodes: opts.nodes,
         slots_per_node: opts.slots_per_node,
         master_seed: seed,
@@ -444,7 +431,6 @@ fn job_cli_options(opts: &DaemonOptions, line: &JobLine) -> CliOptions {
         replication: opts.replication,
         points: opts.points,
         granularity: opts.granularity,
-        batch_size: opts.batch_size,
         threads: Some(opts.threads),
         faults: line.faults.clone(),
         ..CliOptions::default()
@@ -972,6 +958,17 @@ mod tests {
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.0.contains(needle), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn retired_batch_size_flag_is_unknown() {
+        for args in [
+            &["jobs.txt", "--batch-size", "1024"][..],
+            &["jobs.txt", "--batch-size", "0"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.0.contains("unknown argument '--batch-size'"), "{err}");
         }
     }
 

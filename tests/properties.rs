@@ -582,9 +582,8 @@ proptest! {
     }
 }
 
-// --- columnar data plane & merkle digest trees ------------------------------
+// --- merkle digest trees -----------------------------------------------------
 
-use clusterbft_repro::dataflow::Batch;
 use clusterbft_repro::digest::{parent_level, MerkleTree};
 
 proptest! {
@@ -662,45 +661,6 @@ proptest! {
             "window wider than one chunk"
         );
         prop_assert!(good.localize(&good).is_none(), "agreement localizes to nothing");
-    }
-
-    /// Row → batch → row is the identity for arbitrary uniform-arity
-    /// record sets, nulls included, and the canonical per-row encodings
-    /// survive the trip — the invariant that lets the batched data plane
-    /// digest and partition without materializing rows.
-    #[test]
-    fn batch_roundtrip_is_identity_including_nulls(
-        arity in 1usize..6,
-        n_rows in 0usize..40,
-        seed_values in proptest::collection::vec(value_strategy(), 1..240),
-    ) {
-        let rows: Vec<Record> = (0..n_rows)
-            .map(|r| {
-                Record::new(
-                    (0..arity)
-                        .map(|c| seed_values[(r * arity + c) % seed_values.len()].clone())
-                        .collect(),
-                )
-            })
-            .collect();
-        let Some(batch) = Batch::from_records(&rows) else {
-            // from_records only declines ragged input; uniform arity with
-            // at least one row must convert.
-            prop_assert!(rows.is_empty());
-            return;
-        };
-        prop_assert_eq!(batch.len(), rows.len());
-        let back = batch.to_records();
-        prop_assert_eq!(&back, &rows);
-
-        let mut via_batch = Vec::new();
-        let mut via_rows = Vec::new();
-        for (r, row) in rows.iter().enumerate() {
-            batch.write_row_canonical(r, &mut via_batch);
-            row.write_canonical(&mut via_rows);
-            prop_assert_eq!(batch.row(r), row.clone());
-        }
-        prop_assert_eq!(via_batch, via_rows);
     }
 }
 

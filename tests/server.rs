@@ -159,3 +159,25 @@ fn server_metrics_flow_into_exposition_and_health_report() {
         "{report}"
     );
 }
+
+/// A script storing twice into one output is refused when it is parsed:
+/// the job comes back as an `Err` outcome naming the line and the path,
+/// never as a `VERIFIED` run with every replica omitted.
+#[test]
+fn duplicate_store_target_is_an_error_outcome() {
+    let server = JobServer::start(ServerConfig::default());
+    let spec = JobSpec::new(
+        "acme",
+        "a = LOAD 'edges' AS (u, f);\nSTORE a INTO 'o';\nSTORE a INTO 'o';",
+    )
+    .input("edges", twitter::follower_analysis(1, 20).records);
+    let result = server.submit(spec).expect_admitted().wait();
+    server.shutdown();
+    assert!(!result.verified());
+    let err = result.outcome.expect_err("a duplicate STORE never runs");
+    assert!(
+        err.to_string()
+            .contains("line 3: output 'o' is already the target of a STORE"),
+        "{err}"
+    );
+}
